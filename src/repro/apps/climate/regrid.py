@@ -11,15 +11,34 @@ SST) must not gain or lose their large-scale magnitude in transit.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+
+def _resample_axis(field: np.ndarray, n_out: int, axis: int) -> np.ndarray:
+    """Linear interpolation along ``axis`` onto ``n_out`` cells.
+
+    Cells are pixels covering the domain: output cell ``o``'s centre
+    sits at source position ``(o + 0.5) * n_in / n_out - 0.5``, clamped
+    to the first and last source cells (edge values extend outward).
+    """
+    n_in = field.shape[axis]
+    pos = np.clip((np.arange(n_out) + 0.5) * n_in / n_out - 0.5,
+                  0.0, n_in - 1)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    weight = pos - lo
+    shape = [1, 1]
+    shape[axis] = n_out
+    weight = weight.reshape(shape)
+    return (np.take(field, lo, axis=axis) * (1.0 - weight)
+            + np.take(field, hi, axis=axis) * weight)
 
 
 def regrid(field: np.ndarray, shape: tuple[int, int], *,
            preserve_mean: bool = True) -> np.ndarray:
     """Bilinearly resample a 2-D band onto ``shape``.
 
-    ``grid_mode`` zooming treats cells as pixels covering the domain, so
-    the result samples the same physical region at the new resolution.
+    Cells are treated as pixels covering the domain, so the result
+    samples the same physical region at the new resolution.
     With ``preserve_mean`` the output is shifted so its mean equals the
     input's exactly (bilinear sampling is only approximately
     mean-preserving on coarse bands).
@@ -29,14 +48,7 @@ def regrid(field: np.ndarray, shape: tuple[int, int], *,
         raise ValueError(f"regrid expects a 2-D band, got {field.ndim}-D")
     if field.shape == tuple(shape):
         return field.copy()
-    factors = (shape[0] / field.shape[0], shape[1] / field.shape[1])
-    out = ndimage.zoom(field, factors, order=1, grid_mode=True,
-                       mode="nearest")
-    # zoom's output shape is round(in * factor); force exactness.
-    out = out[:shape[0], :shape[1]]
-    if out.shape != tuple(shape):  # pragma: no cover - zoom undershoot
-        pad = [(0, shape[0] - out.shape[0]), (0, shape[1] - out.shape[1])]
-        out = np.pad(out, pad, mode="edge")
+    out = _resample_axis(_resample_axis(field, shape[0], 0), shape[1], 1)
     if preserve_mean:
         out += field.mean() - out.mean()
     return out

@@ -10,8 +10,6 @@ Usage::
         --baseline benchmarks/BENCH_quick_baseline.json --check
     python -m repro.bench --quick --trace trace.json --profile --flame out.folded
     python -m repro.bench --quick --jobs 4 --record BENCH_quick.json
-    python -m repro.bench --wall --quick --record BENCH_wall.json \\
-        --baseline benchmarks/BENCH_wall_baseline.json --check
     python -m repro.bench --list
 
 The pytest benchmarks (`pytest benchmarks/ --benchmark-only`) are the
@@ -24,12 +22,10 @@ stored baseline and exit non-zero on regression, and
 ``--profile``/``--flame`` aggregate the traced span log into a hot-path
 table and a collapsed-stack flamegraph export.
 
-``--wall`` switches to the wall-clock tier (see :mod:`repro.bench.wall`):
-each artefact runs ``--runs`` times untraced, and the record holds
-median/p10/p90 wall seconds plus events-per-second instead of the
-simulated-time tables.  With ``--baseline --check``, wall metrics gate
-at the generous ``--wall-tolerance`` band while the deterministic
-``sim_events`` counts keep their exact gate.
+Records hold only deterministic simulated metrics.  The host time of
+these drivers is measured by ``perfbench/`` (see ``perfbench/README.md``
+and ``BENCHMARK.json``); the ``[name: X.Xs wall]`` lines printed here
+are console output only.
 """
 
 from __future__ import annotations
@@ -51,8 +47,6 @@ from .ablations import (
 from .figure4 import check_figure4_shape, figure4
 from .figure6 import check_figure6_shape, figure6
 from .record import (
-    KIND_WALL,
-    WALL_TOLERANCE,
     BenchRecord,
     compare_records,
     load_record,
@@ -66,7 +60,6 @@ from .record import (
     record_table1,
 )
 from .table1 import check_table1_shape, table1
-from .wall import DEFAULT_WALL_RUNS, measure_artefact, record_wall
 
 
 def _run_figure4(quick: bool, record: BenchRecord | None) -> None:
@@ -235,18 +228,6 @@ def _run_place(quick: bool, record: BenchRecord | None) -> None:
     print("shape: OK")
 
 
-def _run_fleet(quick: bool, record: BenchRecord | None) -> None:
-    from .fleet import check_fleet_shape, fleet_scaling
-    from .record import record_fleet
-
-    scaling = fleet_scaling(quick=quick)
-    print(scaling.render())
-    if record is not None:
-        record_fleet(record, scaling)
-    check_fleet_shape(scaling)
-    print("shape: OK")
-
-
 ARTEFACTS: dict[str, _t.Callable[[bool, BenchRecord | None], None]] = {
     "figure4": _run_figure4,
     "figure6": _run_figure6,
@@ -259,16 +240,6 @@ ARTEFACTS: dict[str, _t.Callable[[bool, BenchRecord | None], None]] = {
     "place": _run_place,
 }
 
-#: Opt-in artefacts: runnable by name, excluded from the default "run
-#: everything" selection (the fleet tier times multi-process scaling,
-#: which would perturb — and be perturbed by — the rest of the suite).
-EXTRA_ARTEFACTS: dict[str, _t.Callable[[bool, BenchRecord | None],
-                                       None]] = {
-    "fleet": _run_fleet,
-}
-
-ALL_ARTEFACTS = {**ARTEFACTS, **EXTRA_ARTEFACTS}
-
 
 def main(argv: _t.Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
@@ -277,9 +248,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         description="Regenerate the paper's evaluation artefacts.",
     )
     parser.add_argument("artefacts", nargs="*", metavar="ARTEFACT",
-                        help=f"one of: {', '.join(ALL_ARTEFACTS)} "
-                             "(default: all except "
-                             f"{', '.join(EXTRA_ARTEFACTS)})")
+                        help=f"one of: {', '.join(ARTEFACTS)} "
+                             "(default: all)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced workload sizes")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -292,9 +262,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     parser.add_argument("--record", metavar="PATH", default=None,
                         help="write the run's metrics as a deterministic "
                              "BENCH record (sorted-key JSON)")
-    parser.add_argument("--record-wall", action="store_true",
-                        help="include advisory wall-clock timings in the "
-                             "record (makes it non-deterministic)")
     parser.add_argument("--baseline", metavar="PATH", default=None,
                         help="diff this run's record against a stored "
                              "baseline record and print the delta table")
@@ -307,19 +274,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     parser.add_argument("--flame", metavar="PATH", default=None,
                         help="trace the run and write collapsed-stack "
                              "output (speedscope / flamegraph.pl)")
-    parser.add_argument("--wall", action="store_true",
-                        help="wall-clock tier: time each artefact over "
-                             "--runs repetitions (stdout suppressed) and "
-                             "record median/p10/p90 wall + events/sec")
-    parser.add_argument("--runs", type=int, default=DEFAULT_WALL_RUNS,
-                        metavar="N",
-                        help="repetitions per artefact for --wall "
-                             f"(default {DEFAULT_WALL_RUNS})")
-    parser.add_argument("--wall-tolerance", type=float,
-                        default=WALL_TOLERANCE, metavar="FRAC",
-                        help="with --wall --check: relative band before a "
-                             "wall metric gates "
-                             f"(default {WALL_TOLERANCE})")
     parser.add_argument("--export-dir", metavar="DIR", default=None,
                         help="where the analysis artefact writes its "
                              "timeline/graph/critpath documents "
@@ -344,35 +298,22 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                         help="run the artefacts under tracemalloc and "
                              "exit non-zero if peak traced allocation "
                              "exceeds MB mebibytes")
-    parser.add_argument("--append-history", metavar="PATH", default=None,
-                        help="with --wall: append this run's record to a "
-                             "JSONL history ledger; with --baseline "
-                             "--check, gate wall metrics against "
-                             "variance-aware bands (median ± k·IQR) "
-                             "computed from the existing history")
     parser.add_argument("--list", action="store_true",
                         help="list artefacts and exit")
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in ALL_ARTEFACTS:
+        for name in ARTEFACTS:
             print(name)
         return 0
     if args.check and not args.baseline:
         parser.error("--check requires --baseline")
-    if args.wall and (args.trace or args.profile or args.flame):
-        parser.error("--wall times untraced runs; it cannot be combined "
-                     "with --trace/--profile/--flame")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.jobs > 1:
         # Everything that depends on in-process global state cannot fan
-        # out: wall timings would perturb each other, trace collection
-        # and tracemalloc are per-process, and the analysis export
-        # globals do not propagate to spawn workers.
-        if args.wall:
-            parser.error("--wall stays serial so timings are not "
-                         "perturbed; it cannot combine with --jobs")
+        # out: trace collection and tracemalloc are per-process, and the
+        # analysis export globals do not propagate to spawn workers.
         if args.trace or args.profile or args.flame:
             parser.error("--jobs cannot combine with "
                          "--trace/--profile/--flame (trace collection "
@@ -387,9 +328,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     if args.sample is not None and args.stream_dir is None:
         parser.error("--sample requires --stream-dir")
-    if args.append_history is not None and not args.wall:
-        parser.error("--append-history records wall-tier runs; "
-                     "it requires --wall")
 
     if args.export_dir is not None:
         from . import place as _place
@@ -412,14 +350,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     selected = args.artefacts or list(ARTEFACTS)
     for name in selected:
-        if name not in ALL_ARTEFACTS:
+        if name not in ARTEFACTS:
             parser.error(f"unknown artefact {name!r}; "
-                         f"choose from {', '.join(ALL_ARTEFACTS)}")
-    if args.jobs > 1 and "fleet" in selected:
-        # Fleet workers are daemonic processes and cannot spawn the
-        # nested pools the scaling artefact itself needs.
-        parser.error("the fleet artefact measures its own worker "
-                     "scaling; run it at --jobs 1")
+                         f"choose from {', '.join(ARTEFACTS)}")
 
     baseline = None
     if args.baseline:
@@ -433,11 +366,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             return 2
 
     record: BenchRecord | None = None
-    if args.record or args.baseline or args.append_history:
-        label = "quick" if args.quick else "full"
-        if args.wall:
-            label = f"wall-{label}"
-        record = BenchRecord(label, quick=args.quick)
+    if args.record or args.baseline:
+        record = BenchRecord("quick" if args.quick else "full",
+                             quick=args.quick)
     tracing = bool(args.trace or args.profile or args.flame)
     collected: list = []
     mem_peak_mb: float | None = None
@@ -445,16 +376,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         import tracemalloc
 
         tracemalloc.start()
-    if args.wall:
-        for name in selected:
-            print(f"=== {name} {'(quick)' if args.quick else ''} ===")
-            measurement = measure_artefact(
-                name, ALL_ARTEFACTS[name], quick=args.quick,
-                runs=args.runs)
-            print(measurement.summary())
-            if record is not None:
-                record_wall(record, measurement)
-    elif args.jobs > 1:
+    if args.jobs > 1:
         from ..fleet.merge import FleetTaskError, merge_bench_outcomes
         from ..fleet.plan import BenchFanout, run_plan
 
@@ -475,9 +397,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             print(f"=== {result.name} {'(quick)' if args.quick else ''} "
                   "===")
             sys.stdout.write(result.stdout)
-            if record is not None:
-                record.add(result.name, "wall_s", result.wall_s,
-                           unit="s", kind=KIND_WALL)
             print(f"[{result.name}: {result.wall_s:.1f}s wall]\n")
         print(f"[fleet: {len(merged)} artefact(s) at jobs={args.jobs}: "
               f"{run.wall_s:.1f}s wall]\n")
@@ -487,16 +406,13 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             started = time.perf_counter()
             if tracing:
                 with _obs.collecting() as runs:
-                    ALL_ARTEFACTS[name](args.quick, record)
+                    ARTEFACTS[name](args.quick, record)
                 collected.extend(runs)
                 if record is not None:
                     record_observability(record, name, runs)
             else:
-                ALL_ARTEFACTS[name](args.quick, record)
+                ARTEFACTS[name](args.quick, record)
             elapsed = time.perf_counter() - started
-            if record is not None:
-                record.add(name, "wall_s", elapsed, unit="s",
-                           kind=KIND_WALL)
             print(f"[{name}: {elapsed:.1f}s wall]\n")
     if args.mem_ceiling_mb is not None:
         import tracemalloc
@@ -523,33 +439,14 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                   f"({profile.spans_profiled} spans) -> {args.flame}")
     if args.record:
         assert record is not None
-        # The wall tier's record IS its wall numbers; always keep them.
-        record.write(args.record,
-                     include_wall=args.record_wall or args.wall)
+        record.write(args.record)
         print(f"record: {len(record)} metrics -> {args.record}")
-    history_bands = None
-    if args.append_history:
-        from .history import append_history, load_history, wall_bands
-
-        history = load_history(args.append_history)
-        history_bands = wall_bands(history) or None
     if args.baseline:
         assert record is not None and baseline is not None
-        comparison = compare_records(
-            baseline, record.to_document(include_wall=True),
-            wall_tolerance=args.wall_tolerance if args.wall else None,
-            wall_bands=history_bands)
-        if history_bands:
-            print(f"wall gate: variance bands from {len(history)} "
-                  f"historical runs ({len(history_bands)} banded metrics)")
+        comparison = compare_records(baseline, record.to_document())
         print(comparison.render())
         if args.check and not comparison.ok:
             return 1
-    if args.append_history:
-        assert record is not None
-        append_history(args.append_history,
-                       record.to_document(include_wall=True))
-        print(f"history: run {len(history) + 1} -> {args.append_history}")
     if (mem_peak_mb is not None
             and mem_peak_mb > _t.cast(float, args.mem_ceiling_mb)):
         print(f"error: peak traced memory {mem_peak_mb:.1f} MiB exceeds "

@@ -118,9 +118,8 @@ def chaos_scenario() -> LoadScenario:
 
 def forwarding_scenario() -> LoadScenario:
     """Remote traffic through the forwarding processor: the multi-hop
-    topology the graph and critical-path extractors are pointed at.
-    The explicit placement is the hand-picked §4.3 configuration the
-    deprecated ``forwarding=True`` flag used to spell."""
+    topology the graph and critical-path extractors are pointed at,
+    with the hand-picked §4.3 placement."""
     return LoadScenario(
         name="analysis-forward",
         fleets=(FleetSpec("rpc-forward", clients=4,

@@ -9,18 +9,17 @@ schema-versioned document of scalar metrics —
 * ablation deltas, baseline round times,
 * simulation event counts, and span/RSR counts when tracing is on,
 
-each tagged with a *kind* (``sim`` virtual-time, ``count``, or ``wall``
-clock) and a *direction* (lower/higher is better, or none) — plus an
-environment fingerprint (python version, platform, git SHA, quick/full
-mode).  Serialisation is sorted-key JSON; everything except ``wall``
-metrics is deterministic, so two identical runs write byte-identical
-``BENCH_<label>.json`` files (``wall`` metrics are excluded unless
-explicitly requested).
+each tagged with a *kind* (``sim`` virtual-time or ``count``) and a
+*direction* (lower/higher is better, or none) — plus an environment
+fingerprint (python version, platform, git SHA, quick/full mode).
+Serialisation is sorted-key JSON and every metric is deterministic, so
+two identical runs write byte-identical ``BENCH_<label>.json`` files.
+Host time is not recorded here; ``perfbench/`` measures it.
 
 :func:`compare_records` is the regression gate: it diffs a current
 record against a stored baseline with per-kind tolerance bands — tight
-for deterministic ``sim`` metrics, looser for ``count`` drift, and
-advisory-only for ``wall`` clock — and renders a readable diff table.
+for ``sim`` metrics, looser for ``count`` drift — and renders a
+readable diff table.
 ``python -m repro.bench --baseline BASE.json --check`` exits non-zero
 when any gated metric regresses.
 """
@@ -46,9 +45,7 @@ SCHEMA_VERSION = 1
 KIND_SIM = "sim"
 #: Deterministic count (events, bytes, spans; gated loosely).
 KIND_COUNT = "count"
-#: Wall-clock measurement (advisory only — never gates).
-KIND_WALL = "wall"
-KINDS = (KIND_SIM, KIND_COUNT, KIND_WALL)
+KINDS = (KIND_SIM, KIND_COUNT)
 
 DIR_LOWER = "lower_is_better"
 DIR_HIGHER = "higher_is_better"
@@ -58,9 +55,6 @@ DIRECTIONS = (DIR_LOWER, DIR_HIGHER, DIR_NONE)
 #: Default gate tolerances per kind (relative).
 SIM_TOLERANCE = 0.01
 COUNT_TOLERANCE = 0.10
-#: Default wall gate band when wall gating is requested (``--wall
-#: --check``): generous, because wall clock is noisy on shared runners.
-WALL_TOLERANCE = 0.75
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.+=-]+")
 
@@ -153,8 +147,7 @@ class BenchRecord:
     def metrics(self, artefact: str) -> dict[str, Metric]:
         return dict(self._artefacts.get(_slug(artefact), {}))
 
-    def fragments(self, *, include_wall: bool = True
-                  ) -> tuple[tuple[str, str, float, str, str, str], ...]:
+    def fragments(self) -> tuple[tuple[str, str, float, str, str, str], ...]:
         """The record flattened to plain ``(artefact, name, value,
         unit, kind, direction)`` tuples, sorted.
 
@@ -165,8 +158,7 @@ class BenchRecord:
             (artefact, name, metric.value, metric.unit, metric.kind,
              metric.direction)
             for artefact in sorted(self._artefacts)
-            for name, metric in sorted(self._artefacts[artefact].items())
-            if include_wall or metric.kind != KIND_WALL)
+            for name, metric in sorted(self._artefacts[artefact].items()))
 
     def absorb(self, fragments: _t.Iterable[
             tuple[str, str, float, str, str, str]]) -> None:
@@ -183,23 +175,16 @@ class BenchRecord:
     def __len__(self) -> int:
         return sum(len(m) for m in self._artefacts.values())
 
-    def to_document(self, *, include_wall: bool = False
-                    ) -> dict[str, object]:
-        """The JSON-ready document.
-
-        ``wall`` metrics are non-deterministic, so they are left out
-        unless ``include_wall=True`` — the default document is
-        byte-identical across repeated runs of the same code.
-        """
-        artefacts: dict[str, object] = {}
-        for artefact in sorted(self._artefacts):
-            metrics = {
+    def to_document(self) -> dict[str, object]:
+        """The JSON-ready document, byte-identical across repeated runs
+        of the same code."""
+        artefacts = {
+            artefact: {"metrics": {
                 name: metric.to_json()
                 for name, metric in sorted(self._artefacts[artefact].items())
-                if include_wall or metric.kind != KIND_WALL
-            }
-            if metrics:
-                artefacts[artefact] = {"metrics": metrics}
+            }}
+            for artefact in sorted(self._artefacts)
+        }
         return {
             "schema": SCHEMA,
             "schema_version": SCHEMA_VERSION,
@@ -208,13 +193,12 @@ class BenchRecord:
             "artefacts": artefacts,
         }
 
-    def dumps(self, *, include_wall: bool = False) -> str:
-        return json.dumps(self.to_document(include_wall=include_wall),
-                          sort_keys=True, indent=1)
+    def dumps(self) -> str:
+        return json.dumps(self.to_document(), sort_keys=True, indent=1)
 
-    def write(self, path: str, *, include_wall: bool = False) -> None:
+    def write(self, path: str) -> None:
         with open(path, "w") as handle:
-            handle.write(self.dumps(include_wall=include_wall))
+            handle.write(self.dumps())
             handle.write("\n")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -284,7 +268,6 @@ STATUS_IMPROVED = "improved"
 STATUS_CHANGED = "changed"          # direction-less gated metric drifted
 STATUS_MISSING = "missing"          # in baseline, absent from current
 STATUS_NEW = "new"                  # in current, absent from baseline
-STATUS_WALL = "wall (advisory)"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -365,9 +348,7 @@ def _flat_metrics(document: dict[str, object]
 
 def _diff_one(artefact: str, name: str, base: dict[str, object],
               cur: dict[str, object], sim_tolerance: float,
-              count_tolerance: float,
-              wall_tolerance: float | None,
-              wall_band: tuple[float, float] | None = None) -> MetricDiff:
+              count_tolerance: float) -> MetricDiff:
     base_value = _t.cast(float, base["value"])
     cur_value = _t.cast(float, cur["value"])
     kind = _t.cast(str, cur.get("kind", base.get("kind", KIND_SIM)))
@@ -378,38 +359,17 @@ def _diff_one(artefact: str, name: str, base: dict[str, object],
     else:
         rel = (cur_value - base_value) / abs(base_value)
 
-    if kind == KIND_WALL and wall_band is not None:
-        # Variance-aware gate: the band came from accumulated history
-        # (median ± k·IQR), so it tracks this machine's real spread
-        # instead of a fixed fraction of one noisy baseline sample.
-        lo, hi = wall_band
-        if direction == DIR_LOWER:
-            status = (STATUS_REGRESSED if cur_value > hi
-                      else STATUS_IMPROVED if cur_value < lo
-                      else STATUS_OK)
-        elif direction == DIR_HIGHER:
-            status = (STATUS_REGRESSED if cur_value < lo
-                      else STATUS_IMPROVED if cur_value > hi
-                      else STATUS_OK)
-        else:
-            status = (STATUS_CHANGED if not lo <= cur_value <= hi
-                      else STATUS_OK)
-    elif kind == KIND_WALL and wall_tolerance is None:
-        status = STATUS_WALL if rel != 0.0 else STATUS_OK
+    tolerance = count_tolerance if kind == KIND_COUNT else sim_tolerance
+    if direction == DIR_LOWER:
+        status = (STATUS_REGRESSED if rel > tolerance
+                  else STATUS_IMPROVED if rel < -tolerance
+                  else STATUS_OK)
+    elif direction == DIR_HIGHER:
+        status = (STATUS_REGRESSED if rel < -tolerance
+                  else STATUS_IMPROVED if rel > tolerance
+                  else STATUS_OK)
     else:
-        tolerance = (wall_tolerance if kind == KIND_WALL
-                     else count_tolerance if kind == KIND_COUNT
-                     else sim_tolerance)
-        if direction == DIR_LOWER:
-            status = (STATUS_REGRESSED if rel > tolerance
-                      else STATUS_IMPROVED if rel < -tolerance
-                      else STATUS_OK)
-        elif direction == DIR_HIGHER:
-            status = (STATUS_REGRESSED if rel < -tolerance
-                      else STATUS_IMPROVED if rel > tolerance
-                      else STATUS_OK)
-        else:
-            status = STATUS_CHANGED if abs(rel) > tolerance else STATUS_OK
+        status = STATUS_CHANGED if abs(rel) > tolerance else STATUS_OK
     return MetricDiff(artefact=artefact, name=name, baseline=base_value,
                       current=cur_value, kind=kind, direction=direction,
                       rel_change=rel, status=status)
@@ -417,10 +377,7 @@ def _diff_one(artefact: str, name: str, base: dict[str, object],
 
 def compare_records(baseline: dict[str, object], current: dict[str, object],
                     *, sim_tolerance: float = SIM_TOLERANCE,
-                    count_tolerance: float = COUNT_TOLERANCE,
-                    wall_tolerance: float | None = None,
-                    wall_bands: _t.Mapping[tuple[str, str],
-                                           tuple[float, float]] | None = None
+                    count_tolerance: float = COUNT_TOLERANCE
                     ) -> ComparisonResult:
     """Diff ``current`` against ``baseline`` with per-kind tolerances.
 
@@ -432,21 +389,9 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
     * ``count`` metrics (event/span/byte counts) gate at the looser
       ``count_tolerance`` in either direction — drift means behaviour
       changed;
-    * ``wall`` metrics never gate by default (advisory rows only); pass
-      ``wall_tolerance`` to gate them at that (deliberately generous)
-      relative band — the wall-clock tier uses this so a large slowdown
-      fails while scheduler noise does not.  Sim gating stays exact
-      regardless: ``wall_tolerance`` touches only ``wall`` metrics;
     * a metric present in the baseline but missing from the current
       record is a regression; artefacts that were not run at all are
-      skipped with a warning (so subset runs stay useful).  Wall metrics
-      missing from the current record never gate, even with
-      ``wall_tolerance`` set (a non-wall run vs a wall baseline is a
-      subset, not a regression);
-    * ``wall_bands`` (from :func:`repro.bench.history.wall_bands`) maps
-      ``(artefact, metric)`` to an absolute ``(lo, hi)`` acceptance
-      band; a banded wall metric gates against its band and ignores
-      ``wall_tolerance`` — unbanded wall metrics keep the flat gate.
+      skipped with a warning (so subset runs stay useful).
     """
     warnings: list[str] = []
     base_env = _t.cast(dict, baseline.get("environment", {}))
@@ -480,8 +425,7 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
                 direction=_t.cast(str, cur["direction"]),
                 rel_change=None, status=STATUS_NEW))
         elif cur is None:
-            if artefact in cur_artefacts and _t.cast(
-                    str, base.get("kind")) != KIND_WALL:
+            if artefact in cur_artefacts:
                 diffs.append(MetricDiff(
                     artefact=artefact, name=name,
                     baseline=_t.cast(float, base["value"]), current=None,
@@ -490,9 +434,7 @@ def compare_records(baseline: dict[str, object], current: dict[str, object],
                     rel_change=None, status=STATUS_MISSING))
         else:
             diffs.append(_diff_one(
-                artefact, name, base, cur, sim_tolerance, count_tolerance,
-                wall_tolerance,
-                wall_bands.get(key) if wall_bands else None))
+                artefact, name, base, cur, sim_tolerance, count_tolerance))
     return ComparisonResult(diffs=diffs, warnings=warnings)
 
 
@@ -679,29 +621,6 @@ def record_windowed(record: BenchRecord, artefact: str, slug: str,
                    kind=KIND_COUNT, direction=DIR_NONE)
 
 
-def record_fleet(record: BenchRecord, scaling) -> None:
-    """Worker-scaling results from the fleet artefact.
-
-    Wall seconds, speedup, and efficiency are ``wall``-kind (advisory,
-    band-gated via history); the grid's merged-digest equality and the
-    task/cpu counts are deterministic ``count`` metrics.
-    """
-    record.add("fleet", "tasks", scaling.tasks, unit="tasks",
-               kind=KIND_COUNT)
-    record.add("fleet", "cpus", scaling.cpus, unit="cpus",
-               kind=KIND_COUNT, direction=DIR_NONE)
-    record.add("fleet", "merge_identical", float(scaling.merge_identical),
-               unit="bool", kind=KIND_COUNT, direction=DIR_HIGHER)
-    for point in scaling.points:
-        base = f"workers{point.workers}"
-        record.add("fleet", f"{base}.wall_s", point.wall_s, unit="s",
-                   kind=KIND_WALL)
-        record.add("fleet", f"{base}.speedup", point.speedup, unit="x",
-                   kind=KIND_WALL, direction=DIR_HIGHER)
-        record.add("fleet", f"{base}.efficiency", point.efficiency,
-                   unit="frac", kind=KIND_WALL, direction=DIR_HIGHER)
-
-
 def record_analysis(record: BenchRecord, bench) -> None:
     """Windowed chaos outcome, comm-graph shape, and critical paths."""
     chaos = bench.chaos_result
@@ -828,14 +747,12 @@ __all__ = [
     "KINDS",
     "KIND_COUNT",
     "KIND_SIM",
-    "KIND_WALL",
     "Metric",
     "MetricDiff",
     "RecordValidationError",
     "SCHEMA",
     "SCHEMA_VERSION",
     "SIM_TOLERANCE",
-    "WALL_TOLERANCE",
     "compare_records",
     "environment_fingerprint",
     "git_sha",
@@ -846,7 +763,6 @@ __all__ = [
     "record_chaos",
     "record_figure4",
     "record_figure6",
-    "record_fleet",
     "record_load",
     "record_observability",
     "record_place",

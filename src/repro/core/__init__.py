@@ -29,8 +29,6 @@ from .enquiry import (
     health_report,
     healthy_methods,
     link_profile,
-    poll_report,
-    transport_report,
 )
 from .errors import (
     BindError,
@@ -104,6 +102,4 @@ __all__ = [
     "healthy_methods",
     "link_profile",
     "method_profile",
-    "poll_report",
-    "transport_report",
 ]

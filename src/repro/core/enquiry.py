@@ -13,16 +13,13 @@ The one-stop entry point is :func:`report`: it returns an
 :class:`EnquiryReport` aggregating per-transport traffic, per-context
 polling behaviour, traced phase/latency distributions, and
 failure-recovery health state, with a uniform ``as_dict()`` on every
-report type.  The pre-aggregate names (``poll_report``,
-``transport_report``, ``phase_report``, ``latency_report``,
-``poll_batch_report``) remain as thin deprecation shims.
+report type.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing as _t
-import warnings
 
 from ..simnet.link import LinkProfile
 from .selection import method_profile
@@ -455,42 +452,3 @@ def report(nexus: "Nexus", *, analysis: bool = False) -> EnquiryReport:
 def health_report(nexus: "Nexus") -> HealthReport:
     """Just the failure-recovery section of :func:`report`."""
     return _build_health_report(nexus)
-
-
-# -- deprecation shims --------------------------------------------------------
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.core.enquiry.{old}() is deprecated; use {new} instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def poll_report(context: "Context") -> PollReport:
-    """Deprecated: use ``report(nexus).polling[context.id]``."""
-    _deprecated("poll_report", "report(nexus).polling[context.id]")
-    return _build_poll_report(context)
-
-
-def transport_report(nexus: "Nexus") -> dict[str, dict[str, int]]:
-    """Deprecated: use ``report(nexus).transports`` (typed stats)."""
-    _deprecated("transport_report", "report(nexus).transports")
-    return {name: _t.cast("dict[str, int]", stats.as_dict())
-            for name, stats in _build_transport_report(nexus).items()}
-
-
-def phase_report(nexus: "Nexus") -> dict[tuple[str, str], PhaseStats]:
-    """Deprecated: use ``report(nexus).phases``."""
-    _deprecated("phase_report", "report(nexus).phases")
-    return _build_phase_report(nexus)
-
-
-def latency_report(nexus: "Nexus") -> dict[str, PhaseStats]:
-    """Deprecated: use ``report(nexus).latency``."""
-    _deprecated("latency_report", "report(nexus).latency")
-    return _build_latency_report(nexus)
-
-
-def poll_batch_report(nexus: "Nexus") -> dict[str, PhaseStats]:
-    """Deprecated: use ``report(nexus).poll_batches``."""
-    _deprecated("poll_batch_report", "report(nexus).poll_batches")
-    return _build_poll_batch_report(nexus)

@@ -121,8 +121,7 @@ class BenchFanout:
 
     Keys are ``bench/<nn>-<name>`` so key order equals selection order —
     the merged record and the replayed stdout follow the command line,
-    not completion order.  The wall tier never fans out (timings would
-    perturb each other); :mod:`repro.bench.__main__` enforces that.
+    not completion order.
     """
 
     artefacts: tuple[str, ...]

@@ -257,8 +257,7 @@ def run_scenario(scenario: LoadScenario, *,
         # keeps serving requests, keeps paying the slow method's poll
         # tax, and additionally relays every other member's external
         # traffic.  Which rank, and over which methods, is the
-        # placement's decision (legacy forwarding=True maps to rank 0,
-        # tcp -> mpl).
+        # placement's decision.
         forwarder = servers_remote[placement.forwarder]
         service = ForwardingService(nexus, method=placement.method,
                                     fast_method=placement.fast_method)

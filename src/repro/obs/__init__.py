@@ -127,8 +127,8 @@ def watching_runtimes() -> _t.Iterator[list["Nexus"]]:
     """Collect every Nexus created in this scope *without* enabling tracing.
 
     Unlike :func:`collecting`, the ambient observe default is left alone,
-    so the watched code runs exactly as it would unobserved.  This is how
-    the wall-clock benchmark tier counts simulator events per run
+    so the watched code runs exactly as it would unobserved: a timing
+    harness can count simulator events per run
     (``nexus.sim.events_processed``) without tracing overhead distorting
     the very wall time being measured.
     """

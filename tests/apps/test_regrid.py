@@ -1,10 +1,14 @@
 """Tests for coupler regridding, including mixed-resolution coupling."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.apps.climate import ClimateMode, run_coupled_model
 from repro.apps.climate.config import TEST_CONFIG, ClimateConfig
 from repro.apps.climate.regrid import regrid
@@ -44,6 +48,37 @@ class TestRegrid:
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
             regrid(np.zeros(5), (2, 2))
+
+    @pytest.mark.parametrize("shapes", [((4, 6), (7, 9)),
+                                        ((8, 16), (2, 8)),
+                                        ((5, 7), (3, 11))])
+    def test_matches_scipy_grid_mode_zoom(self, shapes):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        (src, dst) = shapes
+        field = np.random.default_rng(3).random(src)
+        expected = ndimage.zoom(
+            field, (dst[0] / src[0], dst[1] / src[1]), order=1,
+            grid_mode=True, mode="nearest")[:dst[0], :dst[1]]
+        out = regrid(field, dst, preserve_mean=False)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+
+    def test_needs_no_scipy(self):
+        """``repro.bench`` and the regridder run on numpy alone."""
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "import repro.bench\n"
+            "from repro.apps.climate.regrid import regrid\n"
+            "out = regrid(np.arange(24.0).reshape(4, 6), (7, 9))\n"
+            "assert out.shape == (7, 9)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
 
 
 class TestMixedResolutionCoupling:

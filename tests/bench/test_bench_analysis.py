@@ -38,7 +38,7 @@ class TestScenarioDefinitions:
 
     def test_forwarding_run_forwards(self):
         scenario = forwarding_scenario()
-        assert scenario.forwarding
+        assert scenario.placement.forwarder is not None
         assert scenario.remote_servers == 3
 
     def test_chaos_slo_is_detection_only(self):

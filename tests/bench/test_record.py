@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines import run_mixed_workload
 from repro.bench import record as record_mod
-from repro.bench.__main__ import main as bench_main
+from repro.bench.__main__ import ARTEFACTS, main as bench_main
 from repro.bench.record import (
     BenchRecord,
     RecordValidationError,
@@ -23,7 +23,6 @@ def small_record(label="test"):
     record = BenchRecord(label, quick=True)
     results = {"nexus skip_poll=1": run_mixed_workload("nexus", rounds=2)}
     record_baselines(record, results)
-    record.add("baselines", "wall_s", 0.123, unit="s", kind="wall")
     record.add("baselines", "sim_events", 1000.0, unit="events",
                kind="count")
     return record
@@ -53,18 +52,6 @@ class TestBenchRecord:
         record = BenchRecord()
         with pytest.raises(ValueError, match="finite"):
             record.add("a", "m", float("nan"))
-
-    def test_wall_metrics_excluded_by_default(self):
-        document = small_record().to_document()
-        kinds = {metric["kind"]
-                 for body in document["artefacts"].values()
-                 for metric in body["metrics"].values()}
-        assert "wall" not in kinds
-        with_wall = small_record().to_document(include_wall=True)
-        kinds = {metric["kind"]
-                 for body in with_wall["artefacts"].values()
-                 for metric in body["metrics"].values()}
-        assert "wall" in kinds
 
     def test_byte_deterministic_across_identical_runs(self):
         assert small_record().dumps() == small_record().dumps()
@@ -143,14 +130,6 @@ class TestCompareRecords:
         assert not compare_records(baseline, current,
                                    sim_tolerance=0.001).ok
 
-    def test_wall_metrics_are_advisory(self):
-        baseline = small_record().to_document(include_wall=True)
-        current = copy.deepcopy(baseline)
-        current["artefacts"]["baselines"]["metrics"]["wall_s"]["value"] = 99.0
-        comparison = compare_records(baseline, current)
-        assert comparison.ok
-        assert any(d.status == "wall (advisory)" for d in comparison.diffs)
-
     def test_count_drift_gates_loosely(self):
         baseline = small_record().to_document()
         current = copy.deepcopy(baseline)
@@ -228,12 +207,26 @@ class TestBenchCli:
         with pytest.raises(SystemExit):
             bench_main(["baselines", "--quick", "--check"])
 
-    def test_record_wall_included_on_request(self, tmp_path):
-        path = tmp_path / "BENCH_wall.json"
-        assert bench_main(["baselines", "--quick", "--record", str(path),
-                           "--record-wall"]) == 0
-        document = load_record(str(path))
-        assert "wall_s" in document["artefacts"]["baselines"]["metrics"]
+    def test_record_holds_no_host_time(self, recorded):
+        document = load_record(str(recorded))
+        metrics = document["artefacts"]["baselines"]["metrics"]
+        assert {metric["kind"] for metric in metrics.values()} <= {
+            "sim", "count"}
+        assert "wall_s" not in metrics
+
+    @pytest.mark.parametrize("flag", ["--wall", "--runs=3",
+                                      "--wall-tolerance=0.5",
+                                      "--append-history=h.jsonl",
+                                      "--record-wall"])
+    def test_host_time_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            bench_main(["baselines", "--quick", flag])
+
+    def test_list_names_every_artefact_once(self, capsys):
+        assert bench_main(["--list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed == list(ARTEFACTS)
+        assert "fleet" not in listed
 
 
 def test_git_sha_resilient(monkeypatch):

@@ -111,7 +111,7 @@ def test_poll_report(bed):
 
     done = nexus.spawn(body())
     nexus.run(until=done)
-    report = enquiry.poll_report(ctx)
+    report = enquiry.report(nexus).polling[ctx.id]
     assert report.cycles == 8
     assert report.fires["mpl"] == 8
     assert report.fires["tcp"] == 2
@@ -133,7 +133,7 @@ def test_poll_report_distinguishes_never_fired_from_empty(bed):
 
     done = nexus.spawn(body())
     nexus.run(until=done)
-    report = enquiry.poll_report(ctx)
+    report = enquiry.report(nexus).polling[ctx.id]
     assert report.fires.get("tcp", 0) == 0
     assert report.hit_rates["tcp"] is None
     assert report.hit_rates["mpl"] == 0.0
@@ -155,11 +155,11 @@ def test_transport_report_counts_traffic(bed):
     done = nexus.spawn(receiver())
     nexus.spawn(sender())
     nexus.run(until=done)
-    report = enquiry.transport_report(nexus)
-    assert report["mpl"]["messages_sent"] == 1
-    assert report["mpl"]["bytes_sent"] >= 500
-    assert report["tcp"]["messages_sent"] == 0
-    assert report["mpl"]["bytes_dropped"] == 0
+    report = enquiry.report(nexus).transports
+    assert report["mpl"].messages_sent == 1
+    assert report["mpl"].bytes_sent >= 500
+    assert report["tcp"].messages_sent == 0
+    assert report["mpl"].bytes_dropped == 0
 
 
 def test_transport_report_counts_dropped_bytes(bed):
@@ -167,9 +167,9 @@ def test_transport_report_counts_dropped_bytes(bed):
     transport = nexus.transports.get("tcp")
     transport.record_drop(nbytes=700)
     transport.record_drop(nbytes=300)
-    report = enquiry.transport_report(nexus)
-    assert report["tcp"]["messages_dropped"] == 2
-    assert report["tcp"]["bytes_dropped"] == 1000
+    report = enquiry.report(nexus).transports
+    assert report["tcp"].messages_dropped == 2
+    assert report["tcp"].bytes_dropped == 1000
     assert nexus.tracer.count("tcp.bytes_dropped") == 1000
 
 

@@ -1,5 +1,5 @@
-"""Tests for the one-stop enquiry aggregate: report(nexus), uniform
-as_dict(), and the deprecation shims' parity with it."""
+"""Tests for the one-stop enquiry aggregate: report(nexus) and its
+uniform as_dict()."""
 
 import pytest
 
@@ -65,30 +65,3 @@ class TestReport:
                 assert isinstance(stats, dict)
         json.dumps(as_dict)  # tuple keys flattened, everything plain
 
-
-class TestShimParity:
-    def test_transport_report_matches(self, bed):
-        with pytest.warns(DeprecationWarning, match="transport_report"):
-            old = enquiry.transport_report(bed.nexus)
-        new = enquiry.report(bed.nexus).transports
-        assert old == {name: stats.as_dict() for name, stats in new.items()}
-
-    def test_poll_report_matches(self, bed):
-        context = next(iter(bed.nexus.contexts.values()))
-        with pytest.warns(DeprecationWarning, match="poll_report"):
-            old = enquiry.poll_report(context)
-        assert old == enquiry.report(bed.nexus).polling[context.id]
-
-    def test_phase_and_latency_reports_match(self, traced_bed):
-        with pytest.warns(DeprecationWarning, match="phase_report"):
-            old_phases = enquiry.phase_report(traced_bed.nexus)
-        with pytest.warns(DeprecationWarning, match="latency_report"):
-            old_latency = enquiry.latency_report(traced_bed.nexus)
-        report = enquiry.report(traced_bed.nexus)
-        assert old_phases == report.phases
-        assert old_latency == report.latency
-
-    def test_poll_batch_report_matches(self, traced_bed):
-        with pytest.warns(DeprecationWarning, match="poll_batch_report"):
-            old = enquiry.poll_batch_report(traced_bed.nexus)
-        assert old == enquiry.report(traced_bed.nexus).poll_batches

@@ -52,7 +52,7 @@ class TestSuiteDefinitions:
                                  "forwarding"}
         assert variants["untuned"].skip_poll == ()
         assert variants["tuned-skip-poll"].skip_poll != ()
-        assert variants["forwarding"].forwarding
+        assert variants["forwarding"].placement.forwarder is not None
         rates = {v.open_rate for v in variants.values()}
         assert len(rates) == 1
 

@@ -133,19 +133,6 @@ class TestTuningAndChaos:
         # Client -> forwarder legs ride TCP; the relayed hop rides MPL.
         assert result.latency_by_method["mpl"].count > 0
 
-    def test_legacy_forwarding_flag_matches_explicit_placement(self):
-        from repro.place import forwarding_placement
-
-        with pytest.warns(DeprecationWarning):
-            legacy = _open_scenario(forwarding=True)
-        explicit = _open_scenario(placement=forwarding_placement())
-        a = run_scenario(legacy)
-        b = run_scenario(explicit)
-        assert a.offered == b.offered
-        assert a.delivered == b.delivered
-        assert a.sim_events == b.sim_events
-        assert a.drained_at == b.drained_at
-
     def test_chaos_window_forces_retries_but_recovers(self):
         def chaos(bed):
             return FaultPlan(bed.nexus.network).flaky(

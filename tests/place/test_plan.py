@@ -1,8 +1,7 @@
-"""Placement specs: normalization, scenario compilation, the
-deprecation shim, and the exported plan document."""
+"""Placement specs: normalization, scenario compilation, and the
+exported plan document."""
 
 import json
-import warnings
 
 import pytest
 
@@ -63,9 +62,8 @@ class TestCompileScenario:
         compiled = compile_scenario(scenario(),
                                     forwarding_placement(forwarder=1))
         assert compiled.placement.forwarder == 1
-        assert compiled.forwarding  # read-only legacy mirror
         direct = compile_scenario(scenario(), direct_placement())
-        assert not direct.forwarding
+        assert direct.placement.forwarder is None
 
     def test_forwarder_must_index_a_serving_rank(self):
         with pytest.raises(LoadSpecError, match="forwarder"):
@@ -77,26 +75,9 @@ class TestCompileScenario:
             compile_scenario(scenario(),
                              forwarding_placement(fast_method="warp"))
 
-
-class TestDeprecationShim:
-    def test_bare_forwarding_true_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="forwarding=True"):
-            legacy = scenario(forwarding=True)
-        assert legacy.placement == forwarding_placement()
-
-    def test_explicit_placement_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            explicit = scenario(placement=forwarding_placement())
-        assert explicit.forwarding
-
-    def test_scaled_copies_do_not_rewarn(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = scenario(forwarding=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scaled = legacy.at_rate(100.0)
-        assert scaled.placement == forwarding_placement()
+    def test_scaled_copies_keep_the_placement(self):
+        placed = scenario(placement=forwarding_placement())
+        assert placed.at_rate(100.0).placement == forwarding_placement()
 
 
 class TestPlanDocument:

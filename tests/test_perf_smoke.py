@@ -5,7 +5,7 @@ floor set far below what any healthy checkout achieves (roughly 10-20x
 headroom on 2020s hardware), so it only fires on order-of-magnitude
 slowdowns — an accidentally quadratic queue, debug logging left on the
 hot path, and the like.  The precise tracking of wall-clock performance
-lives in ``python -m repro.bench --wall`` and its committed baseline.
+lives in ``perfbench/`` (declared by ``BENCHMARK.json``).
 
 Set ``REPRO_SKIP_PERF_SMOKE=1`` to skip (e.g. on heavily shared or
 instrumented runners where even the generous floor is unreliable).
